@@ -71,7 +71,7 @@ void BM_FanOutScale(benchmark::State& state) {
         tape.begin() + static_cast<ElementSequence::difference_type>(i),
         tape.begin() + static_cast<ElementSequence::difference_type>(
                            std::min(i + kBatch, tape.size())));
-    // v5 sessions expect the trailing origin stamp on batch frames.
+    // Batch frames carry a trailing origin stamp.
     frames.push_back(net::EncodeElementsFrame(batch, obs::MonotonicMicros()));
   }
 

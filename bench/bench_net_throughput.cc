@@ -64,8 +64,7 @@ std::vector<std::string> EncodeTapes(
             tape.begin() + static_cast<ElementSequence::difference_type>(i),
             tape.begin() + static_cast<ElementSequence::difference_type>(
                                std::min(i + batch_size, tape.size())));
-        // Sessions handshake at v5, whose batch frames carry a trailing
-        // origin stamp.  The tapes are pre-encoded outside the timed loop,
+        // Batch frames carry a trailing origin stamp.  The tapes are pre-encoded outside the timed loop,
         // so the stamp is stale by publish time — fine for throughput; the
         // latency histograms it feeds are not what this bench reports.
         frames.push_back(

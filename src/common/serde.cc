@@ -153,10 +153,7 @@ Status Decoder::ReadValue(Value* value) {
 }
 
 void Encoder::WriteRowRef(const Row& row) {
-  if (row_pool_ == nullptr) {
-    WriteRow(row);
-    return;
-  }
+  LM_DCHECK(row_pool_ != nullptr);
   if (row.identity() == nullptr) {
     WriteU32(kInlineRowRef);
     WriteRow(row);
@@ -166,7 +163,7 @@ void Encoder::WriteRowRef(const Row& row) {
 }
 
 Status Decoder::ReadRowRef(Row* row) {
-  if (row_pool_ == nullptr) return ReadRow(row);
+  LM_DCHECK(row_pool_ != nullptr);
   uint32_t id = 0;
   Status status = ReadU32(&id);
   if (!status.ok()) return status;

@@ -50,12 +50,11 @@ class Encoder {
   void WriteValue(const Value& value);
   void WriteRow(const Row& row);
 
-  // Pooled row references (checkpoint format v2): with a pool attached,
-  // WriteRowRef emits a u32 — the row's pool id, or kInlineRowRef followed
-  // by the row inline when it has no rep identity.  Each distinct rep is
-  // then serialized exactly once, in the pool section, no matter how many
-  // index entries reference it.  Without a pool it degrades to WriteRow,
-  // so the same SaveState code produces the v1 encoding unchanged.
+  // Pooled row references (common/checkpoint.h): WriteRowRef emits a u32
+  // — the row's pool id, or kInlineRowRef followed by the row inline when
+  // it has no rep identity.  Each distinct rep is then serialized exactly
+  // once, in the pool section, no matter how many index entries reference
+  // it.  A pool must be attached.
   void set_row_pool(RowPoolEncoder* pool) { row_pool_ = pool; }
   void WriteRowRef(const Row& row);
 
@@ -86,9 +85,8 @@ class Decoder {
   Status ReadValue(Value* value);
   Status ReadRow(Row* row);
 
-  // Counterpart of Encoder::WriteRowRef.  With a pool attached, resolves
-  // u32 references against it (kInlineRowRef reads the row inline); without
-  // one it degrades to ReadRow, matching the poolless encoding.
+  // Counterpart of Encoder::WriteRowRef: resolves u32 references against
+  // the attached pool (kInlineRowRef reads the row inline).
   void set_row_pool(const RowPoolDecoder* pool) { row_pool_ = pool; }
   Status ReadRowRef(Row* row);
 

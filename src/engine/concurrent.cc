@@ -88,8 +88,8 @@ void ConcurrentMerger::PushStamp(int stream, size_t count,
                                  const obs::IngestStamp& stamp) {
   InputSlot& slot = *slots_[static_cast<size_t>(stream)];
   BatchStamp entry;
-  entry.begin_count = slot.enqueued_count - count;
-  entry.end_count = slot.enqueued_count;
+  entry.begin_count = slot.enqueued_count;
+  entry.end_count = slot.enqueued_count + count;
   entry.stamp = stamp;
   // Full ring: drop the stamp.  Latency samples are best-effort; elements
   // never are.
@@ -120,43 +120,45 @@ Status ConcurrentMerger::TryDeliver(int stream, const StreamElement& element) {
 
 Status ConcurrentMerger::TryDeliverBatch(int stream,
                                          std::span<StreamElement> batch) {
-  for (StreamElement& element : batch) {
-    const Status status = Precheck(stream, element);
-    if (!status.ok()) return status;
-    EnqueueBlocking(stream, std::move(element));
-  }
-  return Status::Ok();
+  return TryDeliverBatch(stream, batch, obs::IngestStamp());
 }
 
 Status ConcurrentMerger::TryDeliverBatch(int stream,
                                          std::span<StreamElement> batch,
                                          const obs::IngestStamp& stamp) {
-  const size_t count = batch.size();
-  const Status status = TryDeliverBatch(stream, batch);
-  // Stamp only a fully-enqueued batch: a validation failure tears the
-  // session down anyway, and a stamp whose range overshoots the elements
-  // actually enqueued would pin the stamp ring forever.
-  if (status.ok() && count > 0 && !stamp.empty()) {
-    PushStamp(stream, count, stamp);
+  // Validation is stateless, so validating up front and then enqueueing the
+  // valid prefix equals element-wise validate-then-enqueue — and the stamp
+  // can then name exactly the elements that will be enqueued.
+  size_t valid = 0;
+  Status status = Status::Ok();
+  for (; valid < batch.size(); ++valid) {
+    status = Precheck(stream, batch[valid]);
+    if (!status.ok()) break;
   }
+  if (valid > 0) DeliverBatch(stream, batch.first(valid), stamp);
   return status;
 }
 
 void ConcurrentMerger::DeliverBatch(int stream,
                                     std::span<StreamElement> batch) {
-  LM_CHECK(stream >= 0 &&
-           stream < slot_count_.load(std::memory_order_acquire));
-  for (StreamElement& element : batch) {
-    EnqueueBlocking(stream, std::move(element));
-  }
+  DeliverBatch(stream, batch, obs::IngestStamp());
 }
 
 void ConcurrentMerger::DeliverBatch(int stream,
                                     std::span<StreamElement> batch,
                                     const obs::IngestStamp& stamp) {
-  const size_t count = batch.size();
-  DeliverBatch(stream, batch);
-  if (count > 0 && !stamp.empty()) PushStamp(stream, count, stamp);
+  LM_CHECK(stream >= 0 &&
+           stream < slot_count_.load(std::memory_order_acquire));
+  // Publish the stamp before the first element: the merge thread may drain
+  // elements the moment they land in the ring, and a stamp that came later
+  // would miss them.  Its range is exactly the elements enqueued below, so
+  // it never pins the stamp ring.
+  if (!batch.empty() && !stamp.empty()) {
+    PushStamp(stream, batch.size(), stamp);
+  }
+  for (StreamElement& element : batch) {
+    EnqueueBlocking(stream, std::move(element));
+  }
 }
 
 int ConcurrentMerger::AddStream() {

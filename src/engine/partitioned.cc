@@ -446,12 +446,19 @@ size_t PartitionedMerger::DrainShardOutput(int shard,
   if (n == 0) return 0;
   agg_batches_metric_->Increment();
   // Stamp relay, aggregator half: elements drained here carry the stamp in
-  // force at their position.  Fold the carried-over stamp with every relay
-  // entry that began inside this chunk (the chunk is charged its oldest
-  // element) and republish thread-locally for the downstream sink; the last
-  // entry stays in force for the next chunk.
+  // force at their position.  Fold every relay entry that began inside this
+  // chunk — plus the carried-over stamp, unless an entry begins at the
+  // chunk's first element — so the chunk is charged its oldest element, and
+  // republish thread-locally for the downstream sink; the last entry stays
+  // in force for the next chunk.  The shard pushes each entry before the
+  // element it begins at, so every entry this chunk needs is visible here.
+  const uint64_t chunk_begin = s.out_drained;
   s.out_drained += n;
-  obs::IngestStamp chunk_stamp = s.agg_stamp;
+  const OutStamp* first = s.out_stamp_ring.Peek();
+  obs::IngestStamp chunk_stamp;
+  if (first == nullptr || first->begin_count != chunk_begin) {
+    chunk_stamp = s.agg_stamp;
+  }
   while (OutStamp* entry = s.out_stamp_ring.Peek()) {
     if (entry->begin_count >= s.out_drained) break;
     s.agg_stamp = entry->stamp;

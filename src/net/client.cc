@@ -61,16 +61,6 @@ Status PublisherClient::Handshake(const StreamProperties& properties,
   WelcomeMessage parsed;
   status = DecodeWelcome(frame.payload, &parsed);
   if (!status.ok()) return status;
-  // The server answers with min(our version, its version); anything above
-  // what we offered (or below the floor) is a broken negotiation.
-  if (parsed.version < kMinProtocolVersion ||
-      parsed.version > kProtocolVersion) {
-    return Status::InvalidArgument("server protocol version mismatch");
-  }
-  version_ = parsed.version;
-  if (version_ >= kPayloadDictVersion) {
-    dict_ = std::make_unique<PayloadDictEncoder>();
-  }
   if (welcome != nullptr) *welcome = parsed;
   return Status::Ok();
 }
@@ -129,36 +119,17 @@ bool PublisherClient::ShouldSkip(const StreamElement& element) const {
          (!element.is_adjust() || element.v_old() < feedback_horizon_);
 }
 
-Status PublisherClient::Publish(const StreamElement& element) {
-  if (server_said_bye_) {
-    return Status::FailedPrecondition("server closed session: " +
-                                      bye_reason_);
-  }
-  return connection_->Send(EncodeElementFrame(element));
-}
-
 Status PublisherClient::PublishBatch(const ElementSequence& elements) {
   if (server_said_bye_) {
     return Status::FailedPrecondition("server closed session: " +
                                       bye_reason_);
   }
-  if (version_ >= kLatencyVersion) {
-    // v5: the batch carries its origin stamp (our steady clock at send);
-    // the server folds it into the end-to-end latency histograms and
-    // forwards it to --latency subscribers.
-    const int64_t origin_us = obs::MonotonicMicros();
-    if (dict_ != nullptr) {
-      return connection_->Send(
-          EncodeElementsDictFrame(elements, dict_.get(), origin_us));
-    }
-    return connection_->Send(EncodeElementsFrame(elements, origin_us));
-  }
-  if (dict_ != nullptr) {
-    // v2: one Send carrying PAYLOAD_DEFs for first-seen payloads followed
-    // by the dictionary-coded batch.
-    return connection_->Send(EncodeElementsDictFrame(elements, dict_.get()));
-  }
-  return connection_->Send(EncodeElementsFrame(elements));
+  // One Send carrying PAYLOAD_DEFs for first-seen payloads followed by the
+  // dictionary-coded batch and its origin stamp (our steady clock at send),
+  // which the server folds into the end-to-end latency histograms and
+  // forwards to --latency subscribers.
+  return connection_->Send(
+      EncodeElementsDictFrame(elements, &dict_, obs::MonotonicMicros()));
 }
 
 Status PublisherClient::Finish(const std::string& reason) {
@@ -198,8 +169,8 @@ Status StatsClient::Handshake(const std::string& name,
   status = ReceiveFrame(connection_.get(), &assembler_, &frame);
   if (!status.ok()) return status;
   if (frame.type == FrameType::kBye) {
-    // Pre-v3 servers (or ones built without stats) reject the monitor role
-    // with a BYE; surface their reason instead of a generic decode error.
+    // Surface the server's rejection reason instead of a generic decode
+    // error.
     ByeMessage bye;
     // Best effort: a BYE that fails to decode just yields an empty
     // reason; the session outcome is the same either way.
@@ -215,12 +186,6 @@ Status StatsClient::Handshake(const std::string& name,
   WelcomeMessage parsed;
   status = DecodeWelcome(frame.payload, &parsed);
   if (!status.ok()) return status;
-  if (parsed.version < kStatsVersion || parsed.version > kProtocolVersion) {
-    return Status::InvalidArgument(
-        "server negotiated v" + std::to_string(parsed.version) +
-        "; STATS needs v" + std::to_string(kStatsVersion));
-  }
-  version_ = parsed.version;
   if (welcome != nullptr) *welcome = parsed;
   return Status::Ok();
 }
@@ -281,14 +246,6 @@ Status SubscriberClient::Handshake(const std::string& name,
   WelcomeMessage parsed;
   status = DecodeWelcome(frame.payload, &parsed);
   if (!status.ok()) return status;
-  if (parsed.version < kMinProtocolVersion ||
-      parsed.version > kProtocolVersion) {
-    return Status::InvalidArgument("server protocol version mismatch");
-  }
-  version_ = parsed.version;
-  if (version_ >= kPayloadDictVersion) {
-    dict_ = std::make_unique<PayloadDictDecoder>();
-  }
   if (welcome != nullptr) *welcome = parsed;
   return Status::Ok();
 }
@@ -314,53 +271,19 @@ Status SubscriberClient::Consume(ElementSink* sink) {
       return status;
     }
     switch (frame.type) {
-      case FrameType::kElement: {
-        StreamElement element;
-        const Status decode = DecodeElementPayload(frame.payload, &element);
-        if (!decode.ok()) return decode;
-        ++elements_received_;
-        sink->OnElement(element);
-        break;
-      }
-      case FrameType::kElements: {
-        ElementSequence elements;
-        int64_t origin_us = 0;
-        const Status decode =
-            version_ >= kLatencyVersion
-                ? DecodeElementsPayload(frame.payload, &elements, &origin_us)
-                : DecodeElementsPayload(frame.payload, &elements);
-        if (!decode.ok()) return decode;
-        NoteBatchStamp(origin_us, elements.size());
-        for (const StreamElement& element : elements) {
-          ++elements_received_;
-          sink->OnElement(element);
-        }
-        break;
-      }
       case FrameType::kPayloadDef: {
-        if (dict_ == nullptr) {
-          return Status::FailedPrecondition(
-              "PAYLOAD_DEF on a v1-negotiated session");
-        }
         PayloadDefMessage def;
         const Status decode = DecodePayloadDefPayload(frame.payload, &def);
         if (!decode.ok()) return decode;
-        const Status defined = dict_->Define(def.id, std::move(def.payload));
+        const Status defined = dict_.Define(def.id, std::move(def.payload));
         if (!defined.ok()) return defined;
         break;
       }
       case FrameType::kElementsDict: {
-        if (dict_ == nullptr) {
-          return Status::FailedPrecondition(
-              "ELEMENTS_DICT on a v1-negotiated session");
-        }
         ElementSequence elements;
         int64_t origin_us = 0;
-        const Status decode =
-            version_ >= kLatencyVersion
-                ? DecodeElementsDictPayload(frame.payload, *dict_, &elements,
-                                            &origin_us)
-                : DecodeElementsDictPayload(frame.payload, *dict_, &elements);
+        const Status decode = DecodeElementsDictPayload(
+            frame.payload, dict_, &elements, &origin_us);
         if (!decode.ok()) return decode;
         NoteBatchStamp(origin_us, elements.size());
         for (const StreamElement& element : elements) {

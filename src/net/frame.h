@@ -25,20 +25,20 @@ namespace lmerge::net {
 enum class FrameType : uint8_t {
   kHello = 1,     // client -> server: role, stream properties, join time
   kWelcome = 2,   // server -> client: assigned stream id, algorithm, stable
-  kElement = 3,   // one stream element (publisher -> server -> subscribers)
-  kElements = 4,  // a batched element sequence (same direction as kElement)
+  kElement = 3,   // one stream element (publisher -> server)
+  kElements = 4,  // a batched element sequence (publisher -> server)
   kFeedback = 5,  // server -> publisher: stable-point horizon (Sec. V-D)
   kBye = 6,       // either direction: orderly close with a reason
-  // Protocol v2 payload dictionary (docs/SERVICE.md): a session-scoped,
+  // Payload dictionary (docs/SERVICE.md): a session-scoped,
   // per-direction mapping id -> payload, so repeated payloads cross the
   // wire as 4-byte ids instead of full rows.
   kPayloadDef = 7,     // defines one (id, payload) dictionary entry
   kElementsDict = 8,   // batched sequence with dictionary-coded payloads
-  // Protocol v3 live stats (docs/OBSERVABILITY.md): a monitor or any
+  // Live stats (docs/OBSERVABILITY.md): a monitor or any
   // connected peer polls the server's metrics registry over the session.
   kStatsRequest = 9,   // client -> server: ask for a stats snapshot
   kStatsResponse = 10, // server -> client: server state + metrics snapshot
-  // Protocol v4 replication (docs/REPLICATION.md): a standby subscribes,
+  // Replication (docs/REPLICATION.md): a standby subscribes,
   // streams the primary's checkpoint under live traffic, and replays its
   // feed from the certified cut.
   kCheckpointRequest = 11,  // standby -> server: ask for checkpoint + cut

@@ -65,7 +65,7 @@ void MergeServer::FanOutSink::OnElement(const StreamElement& element) {
     first_append_us_ = obs::MonotonicMicros();
   }
   // Fold the producing thread's current batch stamp; always, so the origin
-  // keeps flowing to v5 subscribers even with metrics off.
+  // keeps flowing to subscribers even with metrics off.
   batch_stamp_.FoldOldest(obs::CurrentIngestStamp());
   batch_.push_back(element);
   if (batch_.size() >= server_->options_.max_batch) Flush();
@@ -114,54 +114,20 @@ void MergeServer::FanOutBatchLocked(const ElementSequence& batch,
   }
   if (subscribers_.empty()) return;
   fanout_batches_metric_->Increment();
-  // Serialize once per protocol class, share by refcount: every v1
-  // subscriber pins the same inline buffer, every v2..v4 subscriber the
-  // same dictionary buffer, every v5+ subscriber the same stamped
-  // dictionary buffer.  The two dictionary classes share ONE intern pass
-  // (EncodeDictBatchPartsLocked) — only the final frame assembly differs —
-  // so encode cost stays flat in subscriber count and the v5 stamp costs
-  // eight bytes, not a second encoding.
-  std::shared_ptr<const std::string> inline_frame;
-  std::shared_ptr<const std::string> dict_frame;
-  std::shared_ptr<const std::string> dict_frame_v5;
-  bool parts_built = false;
-  DictBatchParts parts;
+  // Serialize once per batch, share by refcount: every subscriber pins the
+  // same stamped dictionary frame, so encode cost stays flat in subscriber
+  // count.
+  DictBatchParts parts = EncodeDictBatchPartsLocked(batch);
+  Encoder stamp;
+  stamp.WriteI64(origin_us);
+  parts.body += stamp.bytes();
+  auto frame = std::make_shared<std::string>(std::move(parts.defs));
+  AppendFrame(FrameType::kElementsDict, parts.body, frame.get());
+  const size_t frame_bytes = frame->size();
+  fanout_encoded_frames_metric_->Increment();
+  fanout_encoded_bytes_metric_->Add(static_cast<int64_t>(frame_bytes));
   for (auto it = subscribers_.begin(); it != subscribers_.end();) {
-    std::shared_ptr<const std::string> frame;
-    if (it->version >= kPayloadDictVersion) {
-      if (!parts_built) {
-        parts = EncodeDictBatchPartsLocked(batch);
-        parts_built = true;
-      }
-      std::shared_ptr<const std::string>& slot =
-          it->version >= kLatencyVersion ? dict_frame_v5 : dict_frame;
-      if (slot == nullptr) {
-        std::string body = parts.body;
-        if (it->version >= kLatencyVersion) {
-          Encoder stamp;
-          stamp.WriteI64(origin_us);
-          body += stamp.TakeBytes();
-        }
-        auto built = std::make_shared<std::string>(parts.defs);
-        AppendFrame(FrameType::kElementsDict, body, built.get());
-        slot = std::move(built);
-        fanout_encoded_frames_metric_->Increment();
-        fanout_encoded_bytes_metric_->Add(static_cast<int64_t>(slot->size()));
-      }
-      frame = slot;
-    } else {
-      if (inline_frame == nullptr) {
-        inline_frame = std::make_shared<const std::string>(
-            batch.size() == 1 ? EncodeElementFrame(batch[0])
-                              : EncodeElementsFrame(batch));
-        fanout_encoded_frames_metric_->Increment();
-        fanout_encoded_bytes_metric_->Add(
-            static_cast<int64_t>(inline_frame->size()));
-      }
-      frame = inline_frame;
-    }
-    const size_t frame_bytes = frame->size();
-    const Status sent = it->connection->SendShared(std::move(frame));
+    const Status sent = it->connection->SendShared(frame);
     if (sent.ok()) {
       tx_fanout_frames_metric_->Increment();
       tx_fanout_bytes_metric_->Add(static_cast<int64_t>(frame_bytes));
@@ -188,7 +154,7 @@ DictBatchParts MergeServer::EncodeDictBatchPartsLocked(
   // The tape records every def ever broadcast, in order: replaying it
   // into a fresh decoder of the same capacity reproduces the broadcast
   // dictionary state exactly (including evictions), which is what makes
-  // a late v2+ joiner decodable against the shared id space.
+  // a late joiner decodable against the shared id space.
   defs_tape_ += parts.defs;
   return parts;
 }
@@ -226,7 +192,7 @@ Status MergeServer::OnBytes(int session_id, const char* data, size_t size) {
   rx_bytes_metric_->Add(static_cast<int64_t>(size));
   // Stamp receive time once per socket read (one steady-clock call), before
   // frame reassembly: every batch decoded from these bytes is charged this
-  // rx instant.  Unconditional — v4 peers still get rx-relative latencies.
+  // rx instant.
   session.last_rx_us = obs::MonotonicMicros();
   Status status = session.assembler.Feed(data, size);
   Frame frame;
@@ -274,9 +240,7 @@ Status MergeServer::HandleFrameLocked(Session& session, const Frame& frame) {
       ElementSequence elements;
       int64_t origin_us = 0;
       Status status =
-          session.version >= kLatencyVersion
-              ? DecodeElementsPayload(frame.payload, &elements, &origin_us)
-              : DecodeElementsPayload(frame.payload, &elements);
+          DecodeElementsPayload(frame.payload, &elements, &origin_us);
       if (!status.ok()) return status;
       return DeliverBatchLocked(session, std::move(elements), origin_us);
     }
@@ -284,10 +248,6 @@ Status MergeServer::HandleFrameLocked(Session& session, const Frame& frame) {
       if (session.state != SessionState::kPublisher) {
         return Status::FailedPrecondition(
             "PAYLOAD_DEF from a non-publisher session");
-      }
-      if (session.version < kPayloadDictVersion) {
-        return Status::FailedPrecondition(
-            "PAYLOAD_DEF on a v1-negotiated session");
       }
       PayloadDefMessage def;
       Status status = DecodePayloadDefPayload(frame.payload, &def);
@@ -303,22 +263,14 @@ Status MergeServer::HandleFrameLocked(Session& session, const Frame& frame) {
         return Status::FailedPrecondition(
             "ELEMENTS_DICT from a non-publisher session");
       }
-      if (session.version < kPayloadDictVersion) {
-        return Status::FailedPrecondition(
-            "ELEMENTS_DICT on a v1-negotiated session");
-      }
       if (session.dict_in == nullptr) {
         session.dict_in =
             std::make_unique<PayloadDictDecoder>(options_.dict_capacity);
       }
       ElementSequence elements;
       int64_t origin_us = 0;
-      Status status =
-          session.version >= kLatencyVersion
-              ? DecodeElementsDictPayload(frame.payload, *session.dict_in,
-                                          &elements, &origin_us)
-              : DecodeElementsDictPayload(frame.payload, *session.dict_in,
-                                          &elements);
+      Status status = DecodeElementsDictPayload(
+          frame.payload, *session.dict_in, &elements, &origin_us);
       if (!status.ok()) return status;
       return DeliverBatchLocked(session, std::move(elements), origin_us);
     }
@@ -326,15 +278,11 @@ Status MergeServer::HandleFrameLocked(Session& session, const Frame& frame) {
       if (session.state == SessionState::kAwaitHello) {
         return Status::FailedPrecondition("STATS_REQUEST before HELLO");
       }
-      if (session.version < kStatsVersion) {
-        return Status::FailedPrecondition(
-            "STATS_REQUEST on a pre-v3 session");
-      }
       Status status = DecodeStatsRequest(frame.payload);
       if (!status.ok()) return status;
       stats_requests_metric_->Increment();
-      return session.connection->Send(EncodeStatsResponseFrame(
-          BuildStatsResponseLocked(), session.version));
+      return session.connection->Send(
+          EncodeStatsResponseFrame(BuildStatsResponseLocked()));
     }
     case FrameType::kCheckpointRequest: {
       if (session.state != SessionState::kStandby) {
@@ -417,13 +365,12 @@ Status MergeServer::EnsureAlgorithmLocked(const StreamProperties& first) {
 }
 
 Status MergeServer::HandleHelloLocked(Session& session, const HelloMessage& hello) {
-  if (hello.version < kMinProtocolVersion) {
+  if (hello.version != kProtocolVersion) {
     return Status::InvalidArgument(
-        "unsupported protocol version " + std::to_string(hello.version));
+        "protocol version mismatch: peer speaks v" +
+        std::to_string(hello.version) + ", server speaks v" +
+        std::to_string(kProtocolVersion));
   }
-  // Negotiate down to the highest version both sides speak; the WELCOME
-  // echoes it and the session sticks to that encoding from then on.
-  session.version = std::min(hello.version, kProtocolVersion);
   // Quiesce before answering: WELCOME's output_stable, the joiner's join
   // decision, and a new subscriber's registration point must all reflect
   // every delivery that happened-before this HELLO.
@@ -431,21 +378,10 @@ Status MergeServer::HandleHelloLocked(Session& session, const HelloMessage& hell
   if (!hello.peer_name.empty()) session.name = hello.peer_name;
   WelcomeMessage welcome;
   if (hello.role == PeerRole::kMonitor) {
-    // Monitors only exchange STATS frames; old clients can never have sent
-    // this role (it post-dates v3), so a pre-v3 HELLO carrying it is a
-    // protocol violation rather than something to negotiate down.
-    if (session.version < kStatsVersion) {
-      return Status::InvalidArgument(
-          "monitor role requires protocol v3");
-    }
+    // Monitors only exchange STATS frames.
     session.state = SessionState::kMonitor;
     welcome.stream_id = -1;
   } else if (hello.role == PeerRole::kStandby) {
-    // Like monitors, the standby role post-dates its version gate: a
-    // pre-v4 HELLO carrying it is a protocol violation.
-    if (session.version < kReplicationVersion) {
-      return Status::InvalidArgument("standby role requires protocol v4");
-    }
     session.state = SessionState::kStandby;
     welcome.stream_id = -1;
   } else if (hello.role == PeerRole::kSubscriber) {
@@ -493,7 +429,6 @@ Status MergeServer::HandleHelloLocked(Session& session, const HelloMessage& hell
     stream_names_[session.stream_id] = session.name;
     welcome.stream_id = session.stream_id;
   }
-  welcome.version = session.version;
   welcome.algorithm_case =
       merger_ == nullptr
           ? kUnknownAlgorithmCase
@@ -513,9 +448,8 @@ Status MergeServer::HandleHelloLocked(Session& session, const HelloMessage& hell
     Subscriber subscriber;
     subscriber.session_id = session.id;
     subscriber.connection = session.connection;
-    subscriber.version = session.version;
     MutexLock fanout_lock(fanout_mutex_);
-    if (session.version >= kPayloadDictVersion && !defs_tape_.empty()) {
+    if (!defs_tape_.empty()) {
       // Catch the joiner up on the broadcast dictionary before it can see
       // a dict-coded batch referencing ids defined before it arrived.
       // Under fanout_mutex_, so no fan-out interleaves mid-replay.
@@ -594,17 +528,16 @@ Status MergeServer::SendCheckpointLocked(Session& session) {
       const std::string cert_bytes =
           replica::SerializeCutCertificate(cut.cert);
       if (shards.size() == 1) {
-        blob = SaveCheckpoint(*shards[0]->checkpointable(),
-                              kCheckpointVersion, cert_bytes);
+        blob = SaveCheckpoint(*shards[0]->checkpointable(), cert_bytes);
       } else {
         // One ordinary blob per shard, wrapped in the LMPC container; the
         // certificate rides in shard 0's blob (common/checkpoint.h).
         std::vector<std::string> shard_blobs;
         shard_blobs.reserve(shards.size());
         for (size_t k = 0; k < shards.size(); ++k) {
-          shard_blobs.push_back(SaveCheckpoint(
-              *shards[k]->checkpointable(), kCheckpointVersion,
-              k == 0 ? cert_bytes : std::string()));
+          shard_blobs.push_back(
+              SaveCheckpoint(*shards[k]->checkpointable(),
+                             k == 0 ? cert_bytes : std::string()));
         }
         blob = CombinePartitionedCheckpoint(shard_blobs);
       }
@@ -1028,7 +961,7 @@ obs::MetricsSnapshot MergeServer::MetricsSnapshotLocked() {
     MutexLock fanout_lock(fanout_mutex_);
     registry.GetGauge("net.subscribers")
         ->Set(static_cast<int64_t>(subscribers_.size()));
-    // One broadcast dictionary now serves every v2+ subscriber.
+    // One broadcast dictionary serves every subscriber.
     registry.GetGauge("net.tx.dict.entries")
         ->Set(broadcast_dict_ == nullptr
                   ? 0

@@ -3,7 +3,7 @@
 //
 // Two encodings exist for sequences:
 //  - Inline (EncodeSequence): every element carries its full payload.  Used
-//    by checkpoints and by protocol-v1 peers.
+//    by tape files and by publishers' ELEMENTS frames.
 //  - Dictionary-coded (EncodeSequenceDict): element payloads are replaced by
 //    4-byte ids into a session-scoped payload dictionary, built up by
 //    PAYLOAD_DEF messages.  Redundant publishers re-send the same payloads
@@ -37,7 +37,7 @@ std::string SerializeSequence(const ElementSequence& elements);
 Status DeserializeSequence(const std::string& bytes,
                            ElementSequence* elements);
 
-// --- Payload dictionary (protocol v2) ---
+// --- Payload dictionary ---
 
 // Sentinel id meaning "no dictionary entry; a full row follows inline".
 inline constexpr uint32_t kInlinePayloadId = 0xffffffffu;

@@ -280,67 +280,57 @@ TEST(CheckpointTest, JumpstartSeedsFromCheckpointBlob) {
   EXPECT_EQ(out.CountOf(Event(Row::OfString("proc-1"), 100, 9000)), 1);
 }
 
-TEST(CheckpointTest, V2PoolsSharedPayloadsAtLeastTwiceSmaller) {
-  // Many index entries sharing one interned payload: v2 writes the rep once
-  // in the pool section and 4-byte references per entry, v1 writes the full
-  // row per entry.  The pooled blob must be at least 2x smaller.
-  CollectingSink sink;
-  LMergeR3 merge(2, &sink);
+TEST(CheckpointTest, PoolsSharedPayloadsAtLeastTwiceSmaller) {
+  // Many index entries sharing one interned payload: the blob writes the
+  // rep once in the pool section and a 4-byte reference per entry.  The
+  // same entries with distinct payloads of equal length (nothing to share)
+  // must make a blob at least 2x larger.
+  constexpr int kEntries = 400;
+  CollectingSink shared_sink;
+  CollectingSink distinct_sink;
+  LMergeR3 shared(2, &shared_sink);
+  LMergeR3 distinct(2, &distinct_sink);
   const std::string payload(64, 'p');
-  for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE(
-        merge.OnElement(0, Ins(payload, i + 1, i + 100000)).ok());
+  for (int i = 0; i < kEntries; ++i) {
+    std::string unique = payload;
+    unique.replace(0, 4, std::to_string(1000 + i));
+    ASSERT_TRUE(shared.OnElement(0, Ins(payload, i + 1, i + 100000)).ok());
+    ASSERT_TRUE(distinct.OnElement(0, Ins(unique, i + 1, i + 100000)).ok());
   }
-  const std::string v2 = SaveCheckpoint(merge);
-  const std::string v1 = SaveCheckpoint(merge, kCheckpointVersionV1);
-  EXPECT_GE(v1.size(), 2 * v2.size())
-      << "v1=" << v1.size() << " bytes, v2=" << v2.size() << " bytes";
+  const std::string shared_blob = SaveCheckpoint(shared);
+  const std::string distinct_blob = SaveCheckpoint(distinct);
+  EXPECT_GE(distinct_blob.size(), 2 * shared_blob.size())
+      << "distinct=" << distinct_blob.size()
+      << " bytes, shared=" << shared_blob.size() << " bytes";
 
-  // Both formats restore to the same state.
-  CollectingSink sink_v1;
-  CollectingSink sink_v2;
-  LMergeR3 from_v1(2, &sink_v1);
-  LMergeR3 from_v2(2, &sink_v2);
-  ASSERT_TRUE(LoadCheckpoint(v1, &from_v1).ok());
-  ASSERT_TRUE(LoadCheckpoint(v2, &from_v2).ok());
-  EXPECT_EQ(from_v1.index_node_count(), merge.index_node_count());
-  EXPECT_EQ(from_v2.index_node_count(), merge.index_node_count());
-  EXPECT_EQ(from_v1.StateBytes(), from_v2.StateBytes());
+  CollectingSink restored_sink;
+  LMergeR3 restored(2, &restored_sink);
+  ASSERT_TRUE(LoadCheckpoint(shared_blob, &restored).ok());
+  EXPECT_EQ(restored.index_node_count(), shared.index_node_count());
+  EXPECT_EQ(restored.StateBytes(), shared.StateBytes());
 }
 
-TEST(CheckpointTest, V1FormatStillRoundTrips) {
-  // Old consumers keep working: a v1 blob (inline payloads) written by this
-  // build restores and the instance continues identically.
-  auto feed_prefix = [](LMergeR3* merge) {
-    LM_CHECK(merge->OnElement(0, Ins("A", 5, 50)).ok());
-    LM_CHECK(merge->OnElement(1, Ins("B", 7, kInfinity)).ok());
-    LM_CHECK(merge->OnElement(0, Stb(10)).ok());
-  };
-  auto feed_suffix = [](LMergeR3* merge) {
-    LM_CHECK(merge->OnElement(1, Ins("A", 5, 50)).ok());
-    LM_CHECK(merge->OnElement(0, Adj("B", 7, kInfinity, 90)).ok());
-    LM_CHECK(merge->OnElement(1, Stb(200)).ok());
-  };
-  CollectingSink reference;
-  LMergeR3 uninterrupted(2, &reference);
-  feed_prefix(&uninterrupted);
-  feed_suffix(&uninterrupted);
+TEST(CheckpointTest, OldCheckpointVersionRejected) {
+  // A hand-built version-1 header (the retired inline-payload format).
+  Encoder encoder;
+  encoder.WriteU32(kCheckpointMagic);
+  encoder.WriteU32(1);
+  encoder.WriteU32(0);
+  const std::string blob = encoder.TakeBytes();
 
-  CollectingSink first_half;
-  LMergeR3 original(2, &first_half);
-  feed_prefix(&original);
-  const std::string blob = SaveCheckpoint(original, kCheckpointVersionV1);
-  CollectingSink second_half;
-  LMergeR3 restored(2, &second_half);
-  ASSERT_TRUE(LoadCheckpoint(blob, &restored).ok());
-  EXPECT_EQ(restored.StateBytes(), original.StateBytes());
-  feed_suffix(&restored);
-
-  ElementSequence combined = first_half.elements();
-  for (const StreamElement& e : second_half.elements()) {
-    combined.push_back(e);
-  }
-  EXPECT_EQ(combined, reference.elements());
+  CollectingSink sink;
+  LMergeR3 target(2, &sink);
+  const Status loaded = LoadCheckpoint(blob, &target);
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.ToString().find("unsupported checkpoint version 1"),
+            std::string::npos)
+      << loaded.ToString();
+  CheckpointInfo info;
+  const Status inspected = InspectCheckpoint(blob, &info);
+  EXPECT_EQ(inspected.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(inspected.ToString().find("unsupported checkpoint version 1"),
+            std::string::npos)
+      << inspected.ToString();
 }
 
 TEST(CheckpointTest, EmbeddedCutCertificateRoundTrips) {
@@ -355,8 +345,8 @@ TEST(CheckpointTest, EmbeddedCutCertificateRoundTrips) {
   CollectingSink sink;
   LMergeR3 merge(2, &sink);
   ASSERT_TRUE(merge.OnElement(0, Ins("A", 5, 50)).ok());
-  const std::string blob = SaveCheckpoint(
-      merge, kCheckpointVersion, replica::SerializeCutCertificate(cert));
+  const std::string blob =
+      SaveCheckpoint(merge, replica::SerializeCutCertificate(cert));
 
   CollectingSink sink2;
   LMergeR3 restored(2, &sink2);
@@ -384,14 +374,14 @@ TEST(CheckpointTest, InspectReportsSectionsWithoutRestoring) {
   LMergeR3 merge(1, &sink);
   ASSERT_TRUE(merge.OnElement(0, Ins("A", 5, 50)).ok());
   ASSERT_TRUE(merge.OnElement(0, Ins("B", 6, 60)).ok());
-  const std::string v2 = SaveCheckpoint(
-      merge, kCheckpointVersion, replica::SerializeCutCertificate(cert));
+  const std::string blob =
+      SaveCheckpoint(merge, replica::SerializeCutCertificate(cert));
 
   CheckpointInfo info;
-  ASSERT_TRUE(InspectCheckpoint(v2, &info).ok());
+  ASSERT_TRUE(InspectCheckpoint(blob, &info).ok());
   EXPECT_EQ(info.version, kCheckpointVersion);
   EXPECT_EQ(info.flags, kCheckpointFlagCutCertificate);
-  EXPECT_EQ(info.total_bytes, v2.size());
+  EXPECT_EQ(info.total_bytes, blob.size());
   EXPECT_EQ(info.pool_entries, 2u);
   EXPECT_GT(info.pool_bytes, 0u);
   EXPECT_GT(info.body_bytes, 0u);
@@ -400,14 +390,7 @@ TEST(CheckpointTest, InspectReportsSectionsWithoutRestoring) {
       replica::ParseCutCertificate(info.cut_certificate, &parsed).ok());
   EXPECT_EQ(parsed.output_stable, 10);
 
-  const std::string v1 = SaveCheckpoint(merge, kCheckpointVersionV1);
-  ASSERT_TRUE(InspectCheckpoint(v1, &info).ok());
-  EXPECT_EQ(info.version, kCheckpointVersionV1);
-  EXPECT_EQ(info.pool_entries, 0u);
-  EXPECT_GT(info.body_bytes, 0u);
-  EXPECT_TRUE(info.cut_certificate.empty());
-
-  std::string bad = v2;
+  std::string bad = blob;
   bad[0] = 'X';
   EXPECT_FALSE(InspectCheckpoint(bad, &info).ok());
 }

@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "core/factory.h"
+#include "obs/latency.h"
 #include "obs/metrics.h"
 #include "stream/sink.h"
 #include "temporal/tdb.h"
@@ -223,6 +224,47 @@ TEST(PartitionedMergeTest, BatchDeliveryKeepsPrefixOnError) {
   // The prefix before the invalid element was delivered; the suffix wasn't.
   EXPECT_EQ(merger.StatsSnapshot().inserts_in, 2);
   EXPECT_EQ(merger.delivered_count(), 2);
+}
+
+// Records, per forwarded element, the origin stamp the aggregator had in
+// force (read on the aggregator thread, like the server's fan-out sink).
+class OriginRecordingSink : public ElementSink {
+ public:
+  void OnElement(const StreamElement& /*element*/) override {
+    origins.push_back(obs::CurrentIngestStamp().origin_us);
+  }
+  std::vector<int64_t> origins;
+};
+
+TEST(PartitionedMergeTest, StampRelayChargesEachChunkItsOwnStamp) {
+  // A chunk whose first element begins a new relay entry must not also be
+  // charged the stamp carried over from the previous chunk.
+  OriginRecordingSink sink;
+  PartitionedMergerOptions options;
+  options.shards = 1;
+  PartitionedMerger merger(MakeFactory(MergeVariant::kLMR3Plus, 1), &sink,
+                           options);
+  ElementSequence first = {StreamElement::Insert(Row::OfString("A"), 1, 10),
+                           StreamElement::Insert(Row::OfString("B"), 2, 12)};
+  ASSERT_TRUE(merger
+                  .TryDeliverBatch(0, std::span(first.data(), first.size()),
+                                   {.origin_us = 100, .rx_us = 100})
+                  .ok());
+  merger.WaitIdle();
+  const size_t first_count = sink.origins.size();
+  ASSERT_GT(first_count, 0u);
+  ElementSequence second = {StreamElement::Insert(Row::OfString("C"), 3, 13),
+                            StreamElement::Insert(Row::OfString("D"), 4, 14)};
+  ASSERT_TRUE(merger
+                  .TryDeliverBatch(0, std::span(second.data(), second.size()),
+                                   {.origin_us = 200, .rx_us = 200})
+                  .ok());
+  merger.WaitIdle();
+  ASSERT_GT(sink.origins.size(), first_count);
+  for (size_t i = 0; i < first_count; ++i) EXPECT_EQ(sink.origins[i], 100);
+  for (size_t i = first_count; i < sink.origins.size(); ++i) {
+    EXPECT_EQ(sink.origins[i], 200) << "element " << i;
+  }
 }
 
 // Satellite: churn test at 4 shard threads — concurrent AddStream /

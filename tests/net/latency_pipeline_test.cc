@@ -1,10 +1,13 @@
-// End-to-end latency pipeline over the loopback transport: the v5 origin
+// End-to-end latency pipeline over the loopback transport: the origin
 // stamp rides publisher frame -> ingest ring -> merge thread -> fan-out,
 // feeding every per-stage histogram; the fan-out republishes the stamp to
-// v5 subscribers and strips it for v4 ones; the merge responsiveness and
-// IO-loop probes behind /readyz answer within their deadlines.
+// every subscriber, also when the merge thread runs on another CPU; the
+// merge responsiveness and IO-loop probes behind /readyz answer within
+// their deadlines.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <chrono>
 #include <thread>
@@ -52,10 +55,8 @@ TestPeer ConnectPeer(MergeServer* server, const std::string& name) {
 }
 
 WelcomeMessage Handshake(MergeServer* server, TestPeer* peer,
-                         PeerRole role, const std::string& name,
-                         uint32_t version = kProtocolVersion) {
+                         PeerRole role, const std::string& name) {
   HelloMessage hello;
-  hello.version = version;
   hello.role = role;
   hello.peer_name = name;
   EXPECT_TRUE(
@@ -149,7 +150,7 @@ TEST_F(LatencyPipelineTest, StampedPublishFeedsEveryStageHistogram) {
   // The stable-lag gauge exists and is sane once a merger is live.
   EXPECT_GE(after.Value("merge.stable_lag_ms", -1), 0);
 
-  // The origin stamp is republished on the v5 fan-out frames.
+  // The origin stamp is republished on the fan-out frames.
   PayloadDictDecoder dict;
   int64_t delivered = 0;
   int64_t oldest_origin = 0;
@@ -168,7 +169,7 @@ TEST_F(LatencyPipelineTest, StampedPublishFeedsEveryStageHistogram) {
                                               &elements, &origin_us)
                         .ok());
         EXPECT_GT(origin_us, 0)
-            << "v5 fan-out lost the publisher's origin stamp";
+            << "fan-out lost the publisher's origin stamp";
         if (oldest_origin == 0 || origin_us < oldest_origin) {
           oldest_origin = origin_us;
         }
@@ -177,7 +178,7 @@ TEST_F(LatencyPipelineTest, StampedPublishFeedsEveryStageHistogram) {
       }
       case FrameType::kElement:
       case FrameType::kElements:
-        FAIL() << "v5 subscriber should receive dictionary batches";
+        FAIL() << "subscribers receive dictionary batches only";
       default:
         break;
     }
@@ -186,67 +187,103 @@ TEST_F(LatencyPipelineTest, StampedPublishFeedsEveryStageHistogram) {
   EXPECT_LE(oldest_origin, obs::MonotonicMicros());
 }
 
-TEST_F(LatencyPipelineTest, V4SubscriberGetsUnstampedFrames) {
-  MergeServer server;
-  TestPeer sub_v4 = ConnectPeer(&server, "sub4");
-  const WelcomeMessage welcome =
-      Handshake(&server, &sub_v4, PeerRole::kSubscriber, "sub4",
-                /*version=*/4);
-  EXPECT_EQ(welcome.version, 4u);
-  TestPeer sub_v5 = ConnectPeer(&server, "sub5");
-  Handshake(&server, &sub_v5, PeerRole::kSubscriber, "sub5");
-  TestPeer pub = ConnectPeer(&server, "pub");
-  Handshake(&server, &pub, PeerRole::kPublisher, "pub");
+// Pins the calling thread to one CPU.
+bool PinToCpu(int cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+}
 
-  ElementSequence batch;
-  for (int i = 0; i < 16; ++i) {
-    batch.push_back(Ins("v4-interop-" + std::to_string(i), i + 1, i + 50));
+// Restores the calling thread's CPU affinity on scope exit.
+class AffinityGuard {
+ public:
+  AffinityGuard() {
+    ok_ = pthread_getaffinity_np(pthread_self(), sizeof(original_),
+                                 &original_) == 0;
   }
-  ASSERT_TRUE(
-      server
-          .OnBytes(pub.session_id,
-                   EncodeElementsFrame(batch, obs::MonotonicMicros()))
-          .ok());
-  server.Flush();
-
-  // The v4 session's dict batches must decode with the *unstamped* decoder
-  // — the stamp is negotiated away, not silently appended.
-  PayloadDictDecoder dict_v4;
-  int64_t v4_elements = 0;
-  for (const Frame& frame : sub_v4.DrainFrames()) {
-    if (frame.type == FrameType::kPayloadDef) {
-      PayloadDefMessage def;
-      ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-      ASSERT_TRUE(dict_v4.Define(def.id, std::move(def.payload)).ok());
-    } else if (frame.type == FrameType::kElementsDict) {
-      ElementSequence elements;
-      ASSERT_TRUE(
-          DecodeElementsDictPayload(frame.payload, dict_v4, &elements)
-              .ok());
-      v4_elements += static_cast<int64_t>(elements.size());
+  ~AffinityGuard() {
+    if (ok_) {
+      (void)pthread_setaffinity_np(pthread_self(), sizeof(original_),
+                                   &original_);
     }
   }
+  bool ok() const { return ok_; }
+  const cpu_set_t& original() const { return original_; }
 
-  PayloadDictDecoder dict_v5;
-  int64_t v5_elements = 0;
-  for (const Frame& frame : sub_v5.DrainFrames()) {
-    if (frame.type == FrameType::kPayloadDef) {
-      PayloadDefMessage def;
-      ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
-      ASSERT_TRUE(dict_v5.Define(def.id, std::move(def.payload)).ok());
-    } else if (frame.type == FrameType::kElementsDict) {
-      ElementSequence elements;
-      int64_t origin_us = 0;
-      ASSERT_TRUE(DecodeElementsDictPayload(frame.payload, dict_v5,
-                                            &elements, &origin_us)
+ private:
+  cpu_set_t original_;
+  bool ok_ = false;
+};
+
+// The ingest stamp must be visible no later than a batch's first element.
+// A merge thread spinning on another CPU drains elements the moment they
+// land in its ring; were the stamp pushed after the last element, that
+// drain would fan out the batch with origin_us == 0.  The producer (this
+// thread) and the merge side run on different CPUs: threads inherit their
+// creator's affinity, so the merger's threads, started by the publisher's
+// HELLO, stay on the CPU this thread held at that moment.
+TEST_F(LatencyPipelineTest, StampReachesFanOutWhenMergeRunsOnAnotherCpu) {
+  const AffinityGuard guard;
+  ASSERT_TRUE(guard.ok());
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE && cpus.size() < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &guard.original())) cpus.push_back(cpu);
+  }
+  if (cpus.size() < 2) GTEST_SKIP() << "needs two CPUs";
+
+  for (const int merge_threads : {1, 2}) {
+    SCOPED_TRACE("merge_threads=" + std::to_string(merge_threads));
+    MergeServerOptions options;
+    options.merge_threads = merge_threads;
+    MergeServer server(options);
+    TestPeer sub = ConnectPeer(&server, "sub");
+    Handshake(&server, &sub, PeerRole::kSubscriber, "sub");
+    ASSERT_TRUE(PinToCpu(cpus[1]));
+    TestPeer pub = ConnectPeer(&server, "pub");
+    Handshake(&server, &pub, PeerRole::kPublisher, "pub");
+    ASSERT_TRUE(PinToCpu(cpus[0]));
+
+    // Each batch is large and reaches an idle merge thread, which the first
+    // enqueued element wakes: the merge drains the batch while it is still
+    // being enqueued.
+    constexpr int kBatches = 20;
+    constexpr int kBatchSize = 1024;
+    for (int b = 0; b < kBatches; ++b) {
+      ElementSequence batch;
+      for (int i = 0; i < kBatchSize; ++i) {
+        const int64_t vs = b * kBatchSize + i + 1;
+        batch.push_back(Ins("cpu-" + std::to_string(vs), vs, vs + 1000));
+      }
+      batch.push_back(Stb(b * kBatchSize + 1));
+      ASSERT_TRUE(server
+                      .OnBytes(pub.session_id,
+                               EncodeElementsFrame(batch,
+                                                   obs::MonotonicMicros()))
                       .ok());
-      EXPECT_GT(origin_us, 0);
-      v5_elements += static_cast<int64_t>(elements.size());
+      server.Flush();
     }
+
+    PayloadDictDecoder dict;
+    int stamped = 0;
+    int unstamped = 0;
+    for (const Frame& frame : sub.DrainFrames()) {
+      if (frame.type == FrameType::kPayloadDef) {
+        PayloadDefMessage def;
+        ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
+        ASSERT_TRUE(dict.Define(def.id, std::move(def.payload)).ok());
+      } else if (frame.type == FrameType::kElementsDict) {
+        ElementSequence elements;
+        int64_t origin_us = 0;
+        ASSERT_TRUE(DecodeElementsDictPayload(frame.payload, dict, &elements,
+                                              &origin_us)
+                        .ok());
+        ++(origin_us > 0 ? stamped : unstamped);
+      }
+    }
+    EXPECT_GT(stamped, 0);
+    EXPECT_EQ(unstamped, 0) << "fan-out frames lost the origin stamp";
   }
-  EXPECT_GT(v4_elements, 0);
-  EXPECT_EQ(v4_elements, v5_elements)
-      << "both generations must see the same merged stream";
 }
 
 TEST_F(LatencyPipelineTest, ReadyProbesBothEngines) {

@@ -95,16 +95,6 @@ TEST(ProtocolTest, ElementFramesRoundTrip) {
   }
 }
 
-TEST(ProtocolTest, ElementsBatchRoundTrip) {
-  const ElementSequence batch = {Ins("a", 1, 5), Ins("b", 2, 6),
-                                 Adj("a", 1, 5, 9), Stb(3)};
-  ElementSequence decoded;
-  ASSERT_TRUE(
-      DecodeElementsPayload(PayloadOf(EncodeElementsFrame(batch)), &decoded)
-          .ok());
-  EXPECT_EQ(decoded, batch);
-}
-
 TEST(ProtocolTest, FeedbackAndByeRoundTrip) {
   FeedbackMessage feedback;
   feedback.horizon = 777;
@@ -158,7 +148,7 @@ TEST(ProtocolTest, TruncationsFailCleanly) {
       PayloadOf(EncodeHelloFrame(hello)),
       PayloadOf(EncodeWelcomeFrame(WelcomeMessage())),
       PayloadOf(EncodeElementFrame(Ins("abc", 1, 99))),
-      PayloadOf(EncodeElementsFrame({Ins("a", 1, 5), Stb(2)})),
+      PayloadOf(EncodeElementsFrame({Ins("a", 1, 5), Stb(2)}, 1)),
       PayloadOf(EncodeFeedbackFrame(FeedbackMessage())),
       PayloadOf(EncodeByeFrame(ByeMessage{"reason"})),
   };
@@ -169,12 +159,13 @@ TEST(ProtocolTest, TruncationsFailCleanly) {
       WelcomeMessage w;
       StreamElement e;
       ElementSequence es;
+      int64_t origin_us = 0;
       FeedbackMessage f;
       ByeMessage b;
       (void)DecodeHello(prefix, &h);
       (void)DecodeWelcome(prefix, &w);
       (void)DecodeElementPayload(prefix, &e);
-      (void)DecodeElementsPayload(prefix, &es);
+      (void)DecodeElementsPayload(prefix, &es, &origin_us);
       (void)DecodeFeedback(prefix, &f);
       (void)DecodeBye(prefix, &b);
     }
@@ -213,7 +204,7 @@ TEST(ProtocolTest, ElementsDictFrameRoundTripMatchesInline) {
   int dict_frames = 0;
   for (const ElementSequence* batch : {&batch1, &batch2}) {
     ASSERT_TRUE(
-        assembler.Feed(EncodeElementsDictFrame(*batch, &encoder)).ok());
+        assembler.Feed(EncodeElementsDictFrame(*batch, &encoder, 1)).ok());
     Frame frame;
     while (assembler.Next(&frame)) {
       if (frame.type == FrameType::kPayloadDef) {
@@ -225,9 +216,10 @@ TEST(ProtocolTest, ElementsDictFrameRoundTripMatchesInline) {
         ASSERT_EQ(frame.type, FrameType::kElementsDict);
         ++dict_frames;
         ElementSequence decoded;
-        ASSERT_TRUE(
-            DecodeElementsDictPayload(frame.payload, decoder_dict, &decoded)
-                .ok());
+        int64_t origin_us = 0;
+        ASSERT_TRUE(DecodeElementsDictPayload(frame.payload, decoder_dict,
+                                              &decoded, &origin_us)
+                        .ok());
         got.insert(got.end(), decoded.begin(), decoded.end());
       }
     }
@@ -251,7 +243,8 @@ TEST(ProtocolTest, ElementsDictPayloadWithUnknownIdFails) {
   const ElementSequence batch = {Ins("known-only-to-sender", 1, 10),
                                  Ins("known-only-to-sender", 2, 20)};
   FrameAssembler assembler;
-  ASSERT_TRUE(assembler.Feed(EncodeElementsDictFrame(batch, &encoder)).ok());
+  ASSERT_TRUE(
+      assembler.Feed(EncodeElementsDictFrame(batch, &encoder, 1)).ok());
   Frame frame;
   std::string dict_payload;
   while (assembler.Next(&frame)) {
@@ -260,27 +253,12 @@ TEST(ProtocolTest, ElementsDictPayloadWithUnknownIdFails) {
   ASSERT_FALSE(dict_payload.empty());
   const PayloadDictDecoder empty_dict;
   ElementSequence decoded;
-  const Status status =
-      DecodeElementsDictPayload(dict_payload, empty_dict, &decoded);
+  int64_t origin_us = 0;
+  const Status status = DecodeElementsDictPayload(dict_payload, empty_dict,
+                                                  &decoded, &origin_us);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("undefined payload id"),
             std::string::npos);
-}
-
-TEST(ProtocolTest, VersionNegotiationBounds) {
-  // The wire preserves whatever version the sender claims — negotiation is
-  // the server's min() against its own version, so decode must not clamp.
-  HelloMessage hello;
-  hello.version = 99;
-  HelloMessage decoded;
-  ASSERT_TRUE(
-      DecodeHello(PayloadOf(EncodeHelloFrame(hello)), &decoded).ok());
-  EXPECT_EQ(decoded.version, 99u);
-  // A default-constructed HELLO advertises the compiled-in version.
-  EXPECT_EQ(HelloMessage().version, kProtocolVersion);
-  static_assert(kMinProtocolVersion <= kProtocolVersion);
-  static_assert(kPayloadDictVersion <= kProtocolVersion,
-                "dictionary frames must be within the advertised version");
 }
 
 TEST(ProtocolTest, StatsRequestIsEmptyAndStrict) {
@@ -344,19 +322,11 @@ TEST(ProtocolTest, StatsResponseRoundTrip) {
 TEST(ProtocolTest, StatsResponseTruncationsFailCleanly) {
   const std::string payload =
       PayloadOf(EncodeStatsResponseFrame(SampleStats()));
-  // The v5 payload is a v4 payload plus a 16-byte capture-timestamp
-  // trailer; truncating exactly the trailer yields a well-formed v4
-  // payload, which MUST keep decoding (that is the interop contract).
-  const size_t v4_len = payload.size() - 16;
+  // The capture-timestamp trailer is mandatory, so every strict prefix
+  // fails.
   for (size_t len = 0; len < payload.size(); ++len) {
     const std::string prefix = payload.substr(0, len);
     StatsResponseMessage decoded;
-    if (len == v4_len) {
-      EXPECT_TRUE(DecodeStatsResponse(prefix, &decoded).ok());
-      EXPECT_EQ(decoded.metrics.captured_wall_ms, 0);
-      EXPECT_EQ(decoded.metrics.captured_mono_us, 0);
-      continue;
-    }
     EXPECT_FALSE(DecodeStatsResponse(prefix, &decoded).ok())
         << "truncated to " << len;
   }
@@ -379,15 +349,16 @@ TEST(ProtocolTest, StatsResponseHostileRowCountRejected) {
   EXPECT_NE(status.ToString().find("row count"), std::string::npos);
 }
 
-TEST(ProtocolTest, StatsConstantsGateTheFeature) {
-  // STATS frames are a v3 feature: a v2-negotiated session must never carry
-  // them, which the server enforces against kStatsVersion.
-  static_assert(kStatsVersion <= kProtocolVersion);
-  static_assert(kPayloadDictVersion < kStatsVersion,
-                "dictionary support predates stats");
+TEST(ProtocolTest, FrameTypeAndRoleNames) {
   EXPECT_STREQ(FrameTypeName(FrameType::kStatsRequest), "STATS_REQUEST");
   EXPECT_STREQ(FrameTypeName(FrameType::kStatsResponse), "STATS_RESPONSE");
   EXPECT_STREQ(PeerRoleName(PeerRole::kMonitor), "monitor");
+  EXPECT_STREQ(FrameTypeName(FrameType::kCutCert), "CUT_CERT");
+  EXPECT_STREQ(FrameTypeName(FrameType::kCheckpointRequest),
+               "CHECKPOINT_REQUEST");
+  EXPECT_STREQ(FrameTypeName(FrameType::kCheckpointChunk),
+               "CHECKPOINT_CHUNK");
+  EXPECT_STREQ(PeerRoleName(PeerRole::kStandby), "standby");
 }
 
 class ProtocolFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -400,7 +371,7 @@ TEST_P(ProtocolFuzzTest, MutatedPayloadsNeverCrashDecoders) {
       PayloadOf(EncodeHelloFrame(hello)),
       PayloadOf(EncodeWelcomeFrame(WelcomeMessage())),
       PayloadOf(EncodeElementFrame(Ins("payload-string", 10, 500))),
-      PayloadOf(EncodeElementsFrame({Ins("a", 1, 5), Adj("a", 1, 5, 9)})),
+      PayloadOf(EncodeElementsFrame({Ins("a", 1, 5), Adj("a", 1, 5, 9)}, 1)),
       PayloadOf(EncodeByeFrame(ByeMessage{"bye-bye"})),
       PayloadOf(EncodeStatsResponseFrame(SampleStats())),
   };
@@ -418,13 +389,14 @@ TEST_P(ProtocolFuzzTest, MutatedPayloadsNeverCrashDecoders) {
       WelcomeMessage w;
       StreamElement e;
       ElementSequence es;
+      int64_t origin_us = 0;
       FeedbackMessage f;
       ByeMessage b;
       StatsResponseMessage sr;
       (void)DecodeHello(mutated, &h);
       (void)DecodeWelcome(mutated, &w);
       (void)DecodeElementPayload(mutated, &e);
-      (void)DecodeElementsPayload(mutated, &es);
+      (void)DecodeElementsPayload(mutated, &es, &origin_us);
       (void)DecodeFeedback(mutated, &f);
       (void)DecodeBye(mutated, &b);
       (void)DecodeStatsResponse(mutated, &sr);
@@ -435,7 +407,7 @@ TEST_P(ProtocolFuzzTest, MutatedPayloadsNeverCrashDecoders) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
-// --- v4 replication frames (CHECKPOINT_REQUEST / CHECKPOINT_CHUNK /
+// --- Replication frames (CHECKPOINT_REQUEST / CHECKPOINT_CHUNK /
 // CUT_CERT) ---
 
 replica::CutCertificate SampleCert() {
@@ -536,29 +508,9 @@ TEST(ProtocolTest, ReplicationTruncationsFailCleanly) {
   }
 }
 
-TEST(ProtocolTest, ReplicationConstantsGateTheFeature) {
-  EXPECT_EQ(kReplicationVersion, 4u);
-  EXPECT_GE(kProtocolVersion, kReplicationVersion);
-  EXPECT_TRUE(IsKnownFrameType(
-      static_cast<uint8_t>(FrameType::kCheckpointRequest)));
-  EXPECT_TRUE(
-      IsKnownFrameType(static_cast<uint8_t>(FrameType::kCheckpointChunk)));
-  EXPECT_TRUE(IsKnownFrameType(static_cast<uint8_t>(FrameType::kCutCert)));
-  EXPECT_STREQ(FrameTypeName(FrameType::kCutCert), "CUT_CERT");
-  EXPECT_STREQ(FrameTypeName(FrameType::kCheckpointRequest),
-               "CHECKPOINT_REQUEST");
-  EXPECT_STREQ(FrameTypeName(FrameType::kCheckpointChunk),
-               "CHECKPOINT_CHUNK");
-  EXPECT_STREQ(PeerRoleName(PeerRole::kStandby), "standby");
-}
-
-TEST(ProtocolTest, LatencyConstantsGateTheFeature) {
-  EXPECT_EQ(kLatencyVersion, 5u);
-  EXPECT_GE(kProtocolVersion, kLatencyVersion);
-}
-
 TEST(ProtocolTest, StampedElementsRoundTrip) {
-  const ElementSequence batch = {Ins("a", 1, 5), Adj("a", 1, 5, 9), Stb(3)};
+  const ElementSequence batch = {Ins("a", 1, 5), Ins("b", 2, 6),
+                                 Adj("a", 1, 5, 9), Stb(3)};
   ElementSequence decoded;
   int64_t origin_us = 0;
   ASSERT_TRUE(DecodeElementsPayload(
@@ -598,28 +550,35 @@ TEST(ProtocolTest, StampedElementsDictRoundTrip) {
 }
 
 TEST(ProtocolTest, StampedDecodersRejectUnstampedPayloads) {
-  // On a v5 wire the trailing stamp is mandatory: the session version picks
-  // the decoder, the decoder never sniffs.  A v4-shaped (unstamped) payload
-  // handed to the stamped decoder must fail cleanly, and vice versa the
-  // unstamped decoder must reject the 8 trailing stamp bytes.
+  // The trailing stamp is mandatory: a payload without it must fail
+  // cleanly, never decode with a guessed stamp.
   const ElementSequence batch = {Ins("a", 1, 5), Stb(3)};
+  Encoder unstamped;
+  EncodeSequence(batch, &unstamped);
   ElementSequence decoded;
   int64_t origin_us = 0;
-  EXPECT_FALSE(DecodeElementsPayload(PayloadOf(EncodeElementsFrame(batch)),
-                                     &decoded, &origin_us)
-                   .ok());
-  EXPECT_FALSE(DecodeElementsPayload(
-                   PayloadOf(EncodeElementsFrame(batch, /*origin_us=*/7)),
-                   &decoded)
+  EXPECT_FALSE(
+      DecodeElementsPayload(unstamped.bytes(), &decoded, &origin_us).ok());
+
+  PayloadDictEncoder encoder;
+  const DictBatchParts parts = EncodeDictBatchParts(batch, &encoder);
+  PayloadDictDecoder decoder_dict;
+  FrameAssembler assembler;
+  ASSERT_TRUE(assembler.Feed(parts.defs).ok());
+  Frame frame;
+  while (assembler.Next(&frame)) {
+    PayloadDefMessage def;
+    ASSERT_TRUE(DecodePayloadDefPayload(frame.payload, &def).ok());
+    ASSERT_TRUE(decoder_dict.Define(def.id, def.payload).ok());
+  }
+  EXPECT_FALSE(DecodeElementsDictPayload(parts.body, decoder_dict, &decoded,
+                                         &origin_us)
                    .ok());
 }
 
 TEST(ProtocolTest, StampedElementsTruncationsFailCleanly) {
   const std::string payload = PayloadOf(
       EncodeElementsFrame({Ins("a", 1, 5), Stb(3)}, /*origin_us=*/4242));
-  // Dropping exactly the 8-byte stamp yields the valid v4 payload; every
-  // other prefix must fail.
-  const size_t v4_len = payload.size() - 8;
   for (size_t len = 0; len < payload.size(); ++len) {
     ElementSequence decoded;
     int64_t origin_us = 0;
@@ -627,11 +586,6 @@ TEST(ProtocolTest, StampedElementsTruncationsFailCleanly) {
                                        &origin_us)
                      .ok())
         << "truncated to " << len;
-    if (len != v4_len) {
-      EXPECT_FALSE(
-          DecodeElementsPayload(payload.substr(0, len), &decoded).ok())
-          << "truncated to " << len;
-    }
   }
 }
 
@@ -645,18 +599,6 @@ TEST(ProtocolTest, StatsResponseCarriesCaptureTimestamps) {
                   .ok());
   EXPECT_EQ(decoded.metrics.captured_wall_ms, 1700000000123);
   EXPECT_EQ(decoded.metrics.captured_mono_us, 55667788);
-
-  // A v4-negotiated session gets the v4 encoding: no trailer, and the
-  // decoder reports the timestamps as unknown.
-  StatsResponseMessage v4_decoded;
-  ASSERT_TRUE(
-      DecodeStatsResponse(
-          PayloadOf(EncodeStatsResponseFrame(stats, /*version=*/4)),
-          &v4_decoded)
-          .ok());
-  EXPECT_EQ(v4_decoded.metrics.captured_wall_ms, 0);
-  EXPECT_EQ(v4_decoded.metrics.captured_mono_us, 0);
-  EXPECT_EQ(v4_decoded.publishers, decoded.publishers);
 }
 
 }  // namespace

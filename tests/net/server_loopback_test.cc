@@ -12,6 +12,8 @@
 
 #include "net/client.h"
 #include "net/loopback.h"
+#include "obs/metrics.h"
+#include "replica/standby.h"
 #include "stream/validate.h"
 #include "temporal/tdb.h"
 #include "test_util.h"
@@ -159,48 +161,74 @@ TEST(ServerLoopbackTest, ClientSendingServerOnlyFrameIsRejected) {
       server.OnBytes(peer.session_id, EncodeFeedbackFrame(feedback)).ok());
 }
 
-TEST(ServerLoopbackTest, TooOldProtocolVersionIsRejected) {
-  MergeServer server;
-  TestPeer peer = ConnectPeer(&server, "ancient");
-  HelloMessage hello = PublisherHello("ancient");
-  hello.version = kMinProtocolVersion - 1;
-  EXPECT_FALSE(
-      server.OnBytes(peer.session_id, EncodeHelloFrame(hello)).ok());
-}
+TEST(ServerLoopbackTest, VersionMismatchIsRejected) {
+  // The server speaks exactly kProtocolVersion: any other HELLO version
+  // gets a BYE naming both versions, whatever the role.
+  const int64_t decode_errors_before =
+      obs::MetricsRegistry::Global().GetCounter("net.decode_errors")->Sum();
+  int rejected = 0;
+  for (const uint32_t version : {0u, 4u, 6u}) {
+    for (const PeerRole role : {PeerRole::kPublisher, PeerRole::kSubscriber,
+                                PeerRole::kMonitor, PeerRole::kStandby}) {
+      SCOPED_TRACE("v" + std::to_string(version) + " " + PeerRoleName(role));
+      MergeServer server;
+      TestPeer peer = ConnectPeer(&server, "other-version");
+      HelloMessage hello = PublisherHello("other-version");
+      hello.version = version;
+      hello.role = role;
+      EXPECT_FALSE(
+          server.OnBytes(peer.session_id, EncodeHelloFrame(hello)).ok());
+      ++rejected;
+      const std::vector<Frame> frames = peer.DrainFrames();
+      ASSERT_EQ(frames.size(), 1u);
+      ASSERT_EQ(frames[0].type, FrameType::kBye);
+      ByeMessage bye;
+      ASSERT_TRUE(DecodeBye(frames[0].payload, &bye).ok());
+      EXPECT_NE(bye.reason.find("v" + std::to_string(version)),
+                std::string::npos)
+          << bye.reason;
+      EXPECT_NE(bye.reason.find("v" + std::to_string(kProtocolVersion)),
+                std::string::npos)
+          << bye.reason;
+      // The session is closed: nothing further is accepted on it.
+      EXPECT_FALSE(
+          server.OnBytes(peer.session_id, EncodeHelloFrame(PublisherHello("x")))
+              .ok());
+      EXPECT_EQ(server.active_publishers(), 0);
+      EXPECT_EQ(server.subscriber_count(), 0);
+    }
+  }
+  EXPECT_EQ(
+      obs::MetricsRegistry::Global().GetCounter("net.decode_errors")->Sum() -
+          decode_errors_before,
+      rejected);
 
-TEST(ServerLoopbackTest, NewerPeerIsNegotiatedDownToServerVersion) {
-  // A client from the future offers a higher version; the server answers
-  // with its own (the min), and the session proceeds normally.
-  MergeServer server;
-  TestPeer peer = ConnectPeer(&server, "future");
-  HelloMessage hello = PublisherHello("future");
-  hello.version = kProtocolVersion + 7;
-  const WelcomeMessage welcome = Handshake(&server, &peer, hello);
-  EXPECT_EQ(welcome.version, kProtocolVersion);
-  EXPECT_TRUE(server
-                  .OnBytes(peer.session_id,
-                           EncodeElementFrame(Ins("hello", 1, 10)))
-                  .ok());
-}
-
-TEST(ServerLoopbackTest, V1PeerIsNegotiatedDownAndDictFramesRejected) {
-  MergeServer server;
-  TestPeer peer = ConnectPeer(&server, "v1");
-  HelloMessage hello = PublisherHello("v1");
-  hello.version = 1;
-  const WelcomeMessage welcome = Handshake(&server, &peer, hello);
-  EXPECT_EQ(welcome.version, 1u);
-  // Inline frames still work...
-  EXPECT_TRUE(server
-                  .OnBytes(peer.session_id,
-                           EncodeElementFrame(Ins("inline", 1, 10)))
-                  .ok());
-  // ...but v2 dictionary frames on a v1 session are a protocol violation.
-  PayloadDefMessage def;
-  def.id = 0;
-  def.payload = Row::OfString("sneaky");
-  EXPECT_FALSE(
-      server.OnBytes(peer.session_id, EncodePayloadDefFrame(def)).ok());
+  // Every client refuses a WELCOME of another version.
+  for (const uint32_t version : {0u, 4u, 6u}) {
+    SCOPED_TRACE("WELCOME v" + std::to_string(version));
+    WelcomeMessage welcome;
+    welcome.version = version;
+    const std::string welcome_frame = EncodeWelcomeFrame(welcome);
+    {
+      auto [client, server_end] = CreateLoopbackPair();
+      ASSERT_TRUE(server_end->Send(welcome_frame).ok());
+      PublisherClient publisher(std::move(client));
+      EXPECT_FALSE(
+          publisher.Handshake(StreamProperties(), kMinTimestamp, "pub").ok());
+    }
+    {
+      auto [client, server_end] = CreateLoopbackPair();
+      ASSERT_TRUE(server_end->Send(welcome_frame).ok());
+      SubscriberClient subscriber(std::move(client));
+      EXPECT_FALSE(subscriber.Handshake("sub").ok());
+    }
+    {
+      auto [client, server_end] = CreateLoopbackPair();
+      ASSERT_TRUE(server_end->Send(welcome_frame).ok());
+      replica::StandbyReplica standby;
+      EXPECT_FALSE(standby.Connect(std::move(client)).ok());
+    }
+  }
 }
 
 HelloMessage MonitorHello(const std::string& name) {
@@ -233,7 +261,6 @@ TEST(ServerLoopbackTest, MonitorHandshakeAndStatsRoundTrip) {
   TestPeer monitor = ConnectPeer(&server, "mon");
   const WelcomeMessage welcome =
       Handshake(&server, &monitor, MonitorHello("dashboard"));
-  EXPECT_EQ(welcome.version, kProtocolVersion);
   EXPECT_EQ(welcome.stream_id, -1);
 
   ASSERT_TRUE(
@@ -281,30 +308,6 @@ TEST(ServerLoopbackTest, StatsBeforeAnyPublisherIsEmptyButValid) {
   EXPECT_EQ(stats.publishers, 0);
   EXPECT_TRUE(stats.inputs.empty());
   EXPECT_EQ(stats.output_stable, kMinTimestamp);
-}
-
-TEST(ServerLoopbackTest, V2PeerNeverSeesStatsAndMonitorNeedsV3) {
-  MergeServer server;
-  // A v2 publisher negotiates down and must not be able to poll stats.
-  TestPeer v2 = ConnectPeer(&server, "v2");
-  HelloMessage hello = PublisherHello("v2-replica");
-  hello.version = 2;
-  const WelcomeMessage welcome = Handshake(&server, &v2, hello);
-  EXPECT_EQ(welcome.version, 2u);
-  EXPECT_FALSE(
-      server.OnBytes(v2.session_id, EncodeStatsRequestFrame()).ok());
-
-  // A monitor HELLO claiming v2 is a protocol violation, not a downgrade.
-  TestPeer old_monitor = ConnectPeer(&server, "old-mon");
-  HelloMessage mon_hello = MonitorHello("old-dashboard");
-  mon_hello.version = 2;
-  EXPECT_FALSE(
-      server.OnBytes(old_monitor.session_id, EncodeHelloFrame(mon_hello))
-          .ok());
-  // The protocol violation cost the v2 publisher its session, and the
-  // rejected monitor never became a peer of any kind.
-  EXPECT_EQ(server.active_publishers(), 0);
-  EXPECT_EQ(server.subscriber_count(), 0);
 }
 
 TEST(ServerLoopbackTest, StatsClientPollsOverLoopback) {
@@ -411,8 +414,8 @@ TEST(ServerLoopbackTest, SubscriberReceivesExactlyTheMergedOutput) {
   }
 
   server.Flush();  // delivery is enqueue-only; quiesce before reading
-  // A default (v2) subscriber receives dictionary-coded output: PAYLOAD_DEF
-  // frames defining each first-seen payload, then ELEMENTS_DICT batches.
+  // A subscriber receives dictionary-coded output: PAYLOAD_DEF frames
+  // defining each first-seen payload, then stamped ELEMENTS_DICT batches.
   PayloadDictDecoder dict;
   ElementSequence received;
   for (const Frame& frame : sub.DrainFrames()) {
@@ -428,50 +431,11 @@ TEST(ServerLoopbackTest, SubscriberReceivesExactlyTheMergedOutput) {
     ASSERT_TRUE(
         DecodeElementsDictPayload(frame.payload, dict, &batch, &origin_us)
             .ok());
-    // The publisher sent unstamped single-ELEMENT frames, so the v5
-    // fan-out carries the stamp trailer with an unknown (0) origin.
+    // The publisher sent unstamped single-ELEMENT frames, so the fan-out
+    // carries the stamp trailer with an unknown (0) origin.
     EXPECT_EQ(origin_us, 0);
     for (StreamElement& element : batch) {
       received.push_back(std::move(element));
-    }
-  }
-  EXPECT_EQ(received, merged.elements());
-  EXPECT_FALSE(received.empty());
-}
-
-TEST(ServerLoopbackTest, V1SubscriberReceivesInlineElementFrames) {
-  MergeServer server;
-  CollectingSink merged;
-  server.AddOutputSink(&merged);
-  TestPeer sub = ConnectPeer(&server, "old-sub");
-  HelloMessage sub_hello;
-  sub_hello.role = PeerRole::kSubscriber;
-  sub_hello.version = 1;
-  Handshake(&server, &sub, sub_hello);
-
-  TestPeer pub = ConnectPeer(&server, "pub");
-  Handshake(&server, &pub, PublisherHello("pub"));
-  const ElementSequence tape = {Ins("a", 1, 10), Stb(4), Ins("a", 5, 20),
-                                Stb(30)};
-  for (const StreamElement& element : tape) {
-    ASSERT_TRUE(
-        server.OnBytes(pub.session_id, EncodeElementFrame(element)).ok());
-  }
-
-  server.Flush();
-  ElementSequence received;
-  for (const Frame& frame : sub.DrainFrames()) {
-    // v1 fan-out is batched: a flush of one element goes out as ELEMENT,
-    // anything larger as one ELEMENTS frame — never dictionary frames.
-    if (frame.type == FrameType::kElement) {
-      StreamElement element;
-      ASSERT_TRUE(DecodeElementPayload(frame.payload, &element).ok());
-      received.push_back(element);
-    } else {
-      ASSERT_EQ(frame.type, FrameType::kElements);
-      ElementSequence batch;
-      ASSERT_TRUE(DecodeElementsPayload(frame.payload, &batch).ok());
-      received.insert(received.end(), batch.begin(), batch.end());
     }
   }
   EXPECT_EQ(received, merged.elements());

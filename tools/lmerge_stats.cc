@@ -1,4 +1,4 @@
-// lmerge_stats — poll a live lmerge_served daemon over the v3 monitor role
+// lmerge_stats — poll a live lmerge_served daemon over the monitor role
 // and render its merge stats: per-input element counts, contribution to the
 // merged output, stable-point lag behind the leading replica, and
 // between-poll throughput.
@@ -13,11 +13,10 @@
 // table, for scripting (scripts/demo_net.sh asserts on it).
 //
 // Rates are computed from the *server's* snapshot capture timestamps
-// (snapshot.captured_mono_us, v5 servers): the divisor is the time between
-// the two snapshots being captured, not between this tool observing them,
-// so a stalled monitor link cannot flatter or inflate el/s.  Against a v4
-// server the tool falls back to its own clock.  Each tick also renders the
-// server's latency.* stage histograms as p50/p99 columns.
+// (snapshot.captured_mono_us): the divisor is the time between the two
+// snapshots being captured, not between this tool observing them, so a
+// stalled monitor link cannot flatter or inflate el/s.  Each tick also
+// renders the server's latency.* stage histograms as p50/p99 columns.
 
 #include <algorithm>
 #include <chrono>
@@ -245,7 +244,7 @@ int main(int argc, char** argv) {
     const auto now = std::chrono::steady_clock::now();
     // Prefer the interval between the server's own snapshot captures: it is
     // exactly the window the counter deltas accumulated over.  Local clocks
-    // only when the server predates the capture stamps (v4).
+    // only when a snapshot carries no capture stamp.
     double elapsed =
         std::chrono::duration<double>(now - previous_time).count();
     if (stats.metrics.captured_mono_us != 0 && previous_mono_us != 0) {
